@@ -117,12 +117,12 @@ def _spec_from_args(args, fallback: Optional[ResiliencySpec]
 def _add_limit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock budget per solver call; an "
+                        help="wall-clock budget per query; an "
                              "expired budget yields UNKNOWN (exit "
                              f"{EXIT_UNKNOWN}), never a spurious verdict")
     parser.add_argument("--max-conflicts", type=int, default=None,
                         dest="max_conflicts", metavar="N",
-                        help="conflict budget per solver call (a "
+                        help="conflict budget per query (a "
                              "deterministic alternative to --timeout)")
 
 

@@ -27,6 +27,7 @@ from ..smt.solver import Result, Solver
 from ..smt.terms import Not, Or
 from .encoder import ModelEncoder
 from .extraction import extract_threat
+from .negation import PhasedNegation
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
@@ -120,8 +121,15 @@ class ScadaAnalyzer:
 
     def _build(self, spec: ResiliencySpec,
                produce_proof: bool = False,
-               preprocess: Optional[bool] = None) -> tuple:
-        """Encode the threat-verification model into a fresh solver."""
+               preprocess: Optional[bool] = None,
+               defer: bool = False) -> tuple:
+        """Encode the threat-verification model into a fresh solver.
+
+        Returns ``(solver, encoder, negation, encode_time)``.  With
+        *defer* the negation's deferred branch waits for phase 2 (see
+        :mod:`repro.core.negation`); without it the solver holds the
+        full disjunction.
+        """
         encoder = ModelEncoder(self.network, self.problem,
                                model_links=spec.link_k is not None)
         solver = Solver(card_encoding=self.card_encoding,
@@ -142,9 +150,12 @@ class ScadaAnalyzer:
             solver.add(encoder.budget_constraint(spec.budget))
             if spec.link_k is not None:
                 solver.add(encoder.link_budget_constraint(spec.link_k))
-            solver.add(encoder.property_negation(spec.property, spec.r))
+            branches = (
+                encoder.negation_branches(spec.property, spec.r) if defer
+                else (encoder.property_negation(spec.property, spec.r),))
+            negation = PhasedNegation(solver, self.backend_name, *branches)
         encode_time = time.perf_counter() - started
-        return solver, encoder, encode_time
+        return solver, encoder, negation, encode_time
 
     def _extract_threat(self, solver: Solver, encoder: ModelEncoder,
                         spec: ResiliencySpec,
@@ -169,21 +180,31 @@ class ScadaAnalyzer:
         budget yields an UNKNOWN result naming the reason, never a
         spurious verdict.
         """
-        solver, encoder, encode_time = self._build(
-            spec, produce_proof=certify)
-        with obs_span("solve", backend=self.backend_name) as sp:
-            outcome = solver.check(max_conflicts=max_conflicts,
-                                   limits=limits)
-            sp.attrs["result"] = outcome.value
+        return self._verify(spec, minimize=minimize,
+                            max_conflicts=max_conflicts, certify=certify,
+                            limits=limits, defer=not self.preprocess)
+
+    def _verify(self, spec: ResiliencySpec, minimize: bool = True,
+                max_conflicts: Optional[int] = None,
+                certify: bool = False,
+                limits: Optional[Limits] = None,
+                defer: bool = True) -> VerificationResult:
+        """:meth:`verify`; *defer* splits the negation into phases
+        (the preprocessed backend and portfolio workers keep the full
+        disjunction)."""
+        solver, encoder, negation, encode_time = self._build(
+            spec, produce_proof=certify, defer=defer)
+        phases = negation.check(max_conflicts=max_conflicts, limits=limits)
+        outcome = phases.result
         result = VerificationResult(
             spec=spec,
             status=Status.UNKNOWN,
-            encode_time=encode_time,
-            solve_time=solver.statistics.check_time,
+            encode_time=encode_time + phases.encode_time,
+            solve_time=phases.stats.get("check_time", 0.0),
             num_vars=solver.num_vars,
             num_clauses=solver.num_clauses,
             backend=self.backend_name,
-            stats=dict(solver.last_check_stats),
+            stats=phases.stats,
         )
         if outcome is Result.UNKNOWN:
             if solver.last_limit_reason is not None:
@@ -227,7 +248,7 @@ class ScadaAnalyzer:
         :exc:`~repro.sat.ResourceLimitReached` is raised with the
         vectors found so far on its ``partial`` attribute.
         """
-        solver, encoder, _ = self._build(spec)
+        solver, encoder, _, _ = self._build(spec)
         node_vars = encoder.field_node_vars()
 
         def check() -> Optional[bool]:
@@ -273,7 +294,7 @@ class ScadaAnalyzer:
 
     def model_size(self, spec: ResiliencySpec) -> Dict[str, int]:
         """Encoded model size (vars/clauses) without solving."""
-        solver, _, _ = self._build(spec)
+        solver, _, _, _ = self._build(spec)
         return {"vars": solver.num_vars, "clauses": solver.num_clauses}
 
     def export_cnf(self, spec: ResiliencySpec) -> tuple:
@@ -283,7 +304,7 @@ class ScadaAnalyzer:
         Used by ``repro lint --encoding`` and the preprocessing
         benchmarks; solving is untouched.
         """
-        solver, _, _ = self._build(spec, preprocess=True)
+        solver, _, _, _ = self._build(spec, preprocess=True)
         assert solver.cnf is not None
         return solver.cnf, set(solver.named_variables().values())
 
@@ -296,7 +317,7 @@ class ScadaAnalyzer:
         """
         from ..smt.smtlib import to_smtlib
 
-        solver, _, _ = self._build(spec)
+        solver, _, _, _ = self._build(spec)
         return to_smtlib(
             solver.assertions(),
             comment=(f"SCADA resiliency threat model: {spec.describe()}\n"

@@ -14,11 +14,21 @@ and the failure budget as a cardinality bound over the ``Node``
 variables of field devices.  All static configuration (protocol
 pairing, crypto pairing, authentication, integrity) is folded into the
 path sets before encoding, exactly as the paper's constraints allow.
+
+``¬Observability`` has two branches: ``U`` (some state uncovered) and
+``T`` (fewer than ``n`` unique groups delivered), and
+``¬Obs ≡ U ∨ T``.  :meth:`ModelEncoder.negation_branches` returns them
+apart so a verification can solve with ``U`` alone first
+(:mod:`repro.core.negation`).  That is sound both ways: ``U`` implies
+``¬Obs``, so a model of the budget with ``U`` is a real threat; and
+when ``U`` is UNSAT under the budget, every threat must come from
+``T``, which is added and consulted only then.  ``T``'s counter is
+most of the CNF, so queries that ``U`` decides never build it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from ..scada.network import ScadaNetwork
 from ..smt.terms import (
@@ -143,11 +153,13 @@ class ModelEncoder:
     # Property negations (the threat conditions)
     # ------------------------------------------------------------------
 
-    def not_observability(self, secured: bool = False) -> Term:
-        """``¬Observability`` / ``¬SecuredObservability``.
+    def observability_branches(self, secured: bool = False
+                               ) -> Tuple[Term, Term]:
+        """The two branches ``(U, T)`` of ``¬(Secured)Observability``.
 
-        True iff some state is covered by no delivered measurement, or
-        fewer than ``n`` *unique* measurements are delivered.
+        ``U``: some state is covered by no delivered measurement.
+        ``T``: fewer than ``n`` *unique* measurements are delivered —
+        the counter over the unique groups, most of the CNF.
         """
         var_of = self.secured if secured else self.delivered
         uncovered: List[Term] = []
@@ -159,7 +171,7 @@ class ModelEncoder:
             for group in self.problem.unique_groups
         ]
         too_few = AtMost(group_delivered, self.problem.num_states - 1)
-        return Or(*uncovered, too_few)
+        return Or(*uncovered), too_few
 
     def not_command_deliverability(self) -> Term:
         """``¬CommandDeliverability``: some field device is alive yet
@@ -182,20 +194,28 @@ class ModelEncoder:
                 AtMost([self.secured(z) for z in covering], r))
         return Or(*conditions)
 
-    def property_negation(self, prop: Property, r: int = 1) -> Term:
-        """The threat condition ``¬property`` for any supported property.
+    def negation_branches(self, prop: Property, r: int = 1
+                          ) -> Tuple[Term, Optional[Term]]:
+        """The threat condition ``¬property`` as ``(eager, deferred)``.
 
-        The single dispatch point used by every verification backend
-        (fresh, incremental, preprocessed) and the attack-cost search;
+        ``¬property ≡ eager ∨ deferred``.  ``deferred`` is the
+        unique-group counter ``T`` for (secured) observability and
+        ``None`` for every other property.  This is the single dispatch
+        point of every verification backend and the attack-cost search;
         ``r`` only matters for bad-data detectability.
         """
         if prop is Property.OBSERVABILITY:
-            return self.not_observability(secured=False)
+            return self.observability_branches(secured=False)
         if prop is Property.SECURED_OBSERVABILITY:
-            return self.not_observability(secured=True)
+            return self.observability_branches(secured=True)
         if prop is Property.COMMAND_DELIVERABILITY:
-            return self.not_command_deliverability()
-        return self.not_bad_data_detectability(r)
+            return self.not_command_deliverability(), None
+        return self.not_bad_data_detectability(r), None
+
+    def property_negation(self, prop: Property, r: int = 1) -> Term:
+        """The whole threat condition ``¬property``, one disjunction."""
+        eager, deferred = self.negation_branches(prop, r)
+        return eager if deferred is None else Or(eager, deferred)
 
     # ------------------------------------------------------------------
     # Failure budget

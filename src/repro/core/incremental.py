@@ -5,7 +5,9 @@ queries that differ *only* in the failure budget.  The plain
 :class:`~repro.core.analyzer.ScadaAnalyzer` re-encodes the whole model
 per query; an :class:`IncrementalContext` encodes the budget-independent
 part — delivery definitions, availability axioms, and the property
-negation — once, and answers each budget against the shared solver.
+negation — once (the negation's deferred branch on the first query
+that reaches phase 2, see :mod:`repro.core.negation`), and answers
+each budget against the shared solver.
 
 Two budget-selection modes are supported:
 
@@ -30,6 +32,7 @@ budget-parameterized facade over a single context.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Dict, List, Optional
 
@@ -42,6 +45,7 @@ from ..smt.solver import BudgetHandle, Result, Solver
 from ..smt.terms import Bool, BoolVal, Implies, Not, Or, Term
 from .encoder import ModelEncoder
 from .extraction import extract_threat
+from .negation import PhaseOutcome, PhasedNegation
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
@@ -104,8 +108,14 @@ class IncrementalContext:
         if prop.uses_security:
             self._solver.add(
                 *self._encoder.delivery_definitions(secured=True))
-        if not self._gate_r:
-            self._solver.add(self._encoder.property_negation(prop, r))
+        # ¬property as ``U ∨ gate``; the deferred branch T is built the
+        # first time a query's phase 1 is UNSAT.  Gated-r contexts
+        # assert the negation per r behind a selector instead.
+        self._negation = (
+            PhasedNegation(self._solver, self.backend_name)
+            if self._gate_r else
+            PhasedNegation(self._solver, self.backend_name,
+                           *self._encoder.negation_branches(prop, r)))
         if model_links:
             # Allocate every topology link's variable up front so
             # per-query link budgets never grow the base numbering.
@@ -208,59 +218,60 @@ class IncrementalContext:
                limits: Optional[Limits] = None) -> VerificationResult:
         """Verify the context's property under one spec's budgets.
 
-        *limits* bounds the solve (per query, not cumulatively — the
-        shared solver grants every query the full budget); an expired
-        budget yields an UNKNOWN result naming the reason.
+        *limits* bounds the query (both phases together, not
+        cumulatively across queries — the shared solver grants every
+        query the full budget); an expired budget yields an UNKNOWN
+        result naming the reason.
         """
         self._check_spec(spec)
         solver = self._solver
         solver.set_hooks(probe_for(current_tracer()))
-        if self.budget_mode == "assumptions":
+        scoped = self.budget_mode != "assumptions"
+        with solver.scope() if scoped else contextlib.nullcontext():
             started = time.perf_counter()
             with obs_span("encode", backend=self.backend_name):
                 pre_vars, pre_clauses = solver.num_vars, solver.num_clauses
-                assumptions = self._budget_assumptions(spec)
+                assumptions: List[Term] = []
+                if scoped:
+                    self._add_budgets(spec)
+                else:
+                    assumptions = self._budget_assumptions(spec)
+                query_vars = solver.num_vars - pre_vars
+                query_clauses = solver.num_clauses - pre_clauses
             encode_time = time.perf_counter() - started
-            with obs_span("solve", backend=self.backend_name) as sp:
-                outcome = solver.check(*assumptions,
-                                       max_conflicts=max_conflicts,
-                                       limits=limits)
-                sp.attrs["result"] = outcome.value
-            return self._result(spec, outcome, encode_time,
-                                pre_vars, pre_clauses, minimize)
-        with solver.scope():
-            started = time.perf_counter()
-            with obs_span("encode", backend=self.backend_name):
-                pre_vars, pre_clauses = solver.num_vars, solver.num_clauses
-                self._add_budgets(spec)
-            encode_time = time.perf_counter() - started
-            with obs_span("solve", backend=self.backend_name) as sp:
-                outcome = solver.check(max_conflicts=max_conflicts,
-                                       limits=limits)
-                sp.attrs["result"] = outcome.value
-            return self._result(spec, outcome, encode_time,
-                                pre_vars, pre_clauses, minimize)
+            phases = self._negation.check(*assumptions,
+                                          max_conflicts=max_conflicts,
+                                          limits=limits)
+            # A deferred branch built by this query is base encoding
+            # from now on: every later query's solver holds it too.
+            self._base_vars += solver.num_vars - pre_vars - query_vars
+            self._base_clauses += (solver.num_clauses - pre_clauses
+                                   - query_clauses)
+            return self._result(spec, phases,
+                                encode_time + phases.encode_time,
+                                query_vars, query_clauses, minimize)
 
-    def _result(self, spec: ResiliencySpec, outcome: Result,
-                encode_time: float, pre_vars: int, pre_clauses: int,
+    def _result(self, spec: ResiliencySpec, phases: PhaseOutcome,
+                encode_time: float, query_vars: int, query_clauses: int,
                 minimize: bool) -> VerificationResult:
         solver = self._solver
+        outcome = phases.result
         # Report the encoding size *this query* would have cost on its
-        # own: the shared base plus the query's budget delta.  The
-        # shared solver's raw totals accumulate every previous query's
-        # budget encoding and would inflate scaling tables relative to
-        # the fresh backend.  (In assumption mode a repeated budget's
-        # delta is zero: its counter already exists.)
+        # own: the shared base (with the deferred branch once built)
+        # plus the query's budget delta.  The shared solver's raw
+        # totals accumulate every previous query's budget encoding and
+        # would inflate scaling tables relative to the fresh backend.
+        # (In assumption mode a repeated budget's delta is zero: its
+        # counter already exists.)
         result = VerificationResult(
             spec=spec,
             status=Status.UNKNOWN,
             encode_time=encode_time,
-            solve_time=solver.last_check_stats.get("check_time", 0.0),
-            num_vars=self._base_vars + (solver.num_vars - pre_vars),
-            num_clauses=(self._base_clauses
-                         + (solver.num_clauses - pre_clauses)),
+            solve_time=phases.stats.get("check_time", 0.0),
+            num_vars=self._base_vars + query_vars,
+            num_clauses=self._base_clauses + query_clauses,
             backend=self.backend_name,
-            stats=dict(solver.last_check_stats),
+            stats=phases.stats,
         )
         if outcome is Result.UNKNOWN:
             if solver.last_limit_reason is not None:
@@ -299,6 +310,9 @@ class IncrementalContext:
         solver = self._solver
         solver.set_hooks(probe_for(current_tracer()))
         node_vars = self._encoder.field_node_vars()
+        # Enumeration keeps the full disjunction: every check below
+        # runs without the phase-1 assumption.
+        self._negation.build()
         assumptions: List[Term] = []
         if self.budget_mode == "assumptions":
             assumptions = self._budget_assumptions(spec)

@@ -170,8 +170,10 @@ def _run_worker(payload: Tuple) -> _WorkerReport:
             analyzer = ScadaAnalyzer(
                 network, problem, card_encoding=card_encoding,
                 lint=False, solver_opts=opts)
-            result = analyzer.verify(spec, minimize=minimize,
-                                     limits=limits)
+            # Full disjunction: cube literals name variables of the
+            # probe's encoding, which must be this encoding too.
+            result = analyzer._verify(spec, minimize=minimize,
+                                      limits=limits, defer=False)
     except Exception as exc:  # pragma: no cover — defensive boundary
         result = VerificationResult(
             spec=spec, status=Status.UNKNOWN, backend="portfolio",
@@ -212,18 +214,18 @@ def _apportion(limits: Optional[Limits], workers: int, elapsed: float,
     """
     if limits is None or limits.unbounded:
         return limits
-    max_time = limits.max_time
+    left = limits.remaining(elapsed, max(0, spent_conflicts),
+                            max(0, spent_propagations))
+    max_time = left.max_time
     if max_time is not None:
-        max_time = max(0.05, max_time - elapsed)
+        max_time = max(0.05, max_time)
     div = max(1, workers)
-    conflicts = limits.max_conflicts
+    conflicts = left.max_conflicts
     if conflicts is not None:
-        remaining = max(1, conflicts - max(0, spent_conflicts))
-        conflicts = max(1, math.ceil(remaining / div))
-    props = limits.max_propagations
+        conflicts = max(1, math.ceil(max(1, conflicts) / div))
+    props = left.max_propagations
     if props is not None:
-        remaining = max(1, props - max(0, spent_propagations))
-        props = max(1, math.ceil(remaining / div))
+        props = max(1, math.ceil(max(1, props) / div))
     return Limits(max_time=max_time, max_conflicts=conflicts,
                   max_propagations=props,
                   max_memory_mb=limits.max_memory_mb)
@@ -346,7 +348,7 @@ class PortfolioBackend:
         probe_limits = (limits or Limits()).merged(
             Limits(max_conflicts=PROBE_CONFLICTS,
                    max_propagations=PROBE_PROPAGATIONS))
-        solver, encoder, encode_time = self.analyzer._build(spec)
+        solver, encoder, _, encode_time = self.analyzer._build(spec)
         with obs_span("portfolio.probe", spec=spec.describe()) as sp:
             outcome = solver.check(limits=probe_limits)
             sp.attrs["result"] = outcome.value
@@ -413,8 +415,8 @@ class PortfolioBackend:
                       limits: Optional[Limits]) -> VerificationResult:
         """Single-process fallback: no pool width, no usable start
         method, or the pool failed to come up."""
-        result = self.analyzer.verify(spec, minimize=minimize,
-                                      limits=limits)
+        result = self.analyzer._verify(spec, minimize=minimize,
+                                       limits=limits, defer=False)
         result.backend = self.name
         result.details["portfolio"] = {"mode": "inline", "workers": 0}
         return result

@@ -56,10 +56,12 @@ class Limits:
     immutable and picklable, so a single ``Limits`` value can be
     shipped to sweep workers unchanged.
 
-    ``max_time`` is wall-clock seconds *per solver call*.
-    ``max_conflicts`` and ``max_propagations`` count per-call deltas,
+    ``max_time`` is wall-clock seconds *per query*.
+    ``max_conflicts`` and ``max_propagations`` count per-query deltas,
     not lifetime totals, so a shared incremental solver gives every
-    query the same budget.  ``max_memory_mb`` bounds a cheap *estimate*
+    query the same budget.  A query that takes more than one solver
+    call hands each later call what the earlier ones left
+    (:meth:`remaining`).  ``max_memory_mb`` bounds a cheap *estimate*
     of the clause-database footprint (the solver cannot observe real
     RSS portably); it is polled at the same cadence as the clock.
     """
@@ -107,6 +109,22 @@ class Limits:
     def with_time(self, max_time: Optional[float]) -> "Limits":
         """This budget with the wall-clock field replaced."""
         return replace(self, max_time=max_time)
+
+    def remaining(self, elapsed: float = 0.0, conflicts: float = 0,
+                  propagations: float = 0) -> "Limits":
+        """What is left of this budget after work that took *elapsed*
+        seconds, *conflicts* conflicts and *propagations* propagations
+        (never below zero; the memory estimate passes through)."""
+        def left(cap: Optional[float], used: float) -> Any:
+            return None if cap is None else max(0, cap - used)
+
+        return Limits(
+            max_time=left(self.max_time, elapsed),
+            max_conflicts=left(self.max_conflicts, int(conflicts)),
+            max_propagations=left(self.max_propagations,
+                                  int(propagations)),
+            max_memory_mb=self.max_memory_mb,
+        )
 
     def describe(self) -> str:
         parts = []

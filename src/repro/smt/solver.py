@@ -260,6 +260,24 @@ class Solver:
             else:
                 self._encoder.assert_term(term)
 
+    def add_base(self, *terms: Term) -> None:
+        """Assert terms at base level, even with scopes open.
+
+        With no scope open this is :meth:`add`.  Inside a scope the
+        terms skip the scope's guard, so they survive every later
+        :meth:`pop`.  That is sound at any depth because Tseitin
+        definitions are never scope-guarded; only top-level assertions
+        are.
+        """
+        if not self._selectors:
+            self.add(*terms)
+            return
+        for term in terms:
+            if not isinstance(term, Term):
+                raise TypeError(f"expected Term, got {type(term).__name__}")
+            self._assertions[0].append(term)
+            self._encoder.assert_term(term)
+
     def push(self) -> None:
         """Open a new assertion scope."""
         self._selectors.append(self._sink.new_var())
@@ -389,6 +407,12 @@ class Solver:
         self._model = None
         self._core_terms = []
         self.last_limit_reason = None
+        if self._interrupt_requested:
+            # The interrupt is sticky: answer UNKNOWN even where the
+            # search would settle at level 0 without polling the flag.
+            self._record_no_search()
+            self.last_limit_reason = LimitReason.INTERRUPT
+            return Result.UNKNOWN
         effective = limits if limits is not None else Limits()
         if max_conflicts is not None:
             effective = effective.merged(Limits(max_conflicts=max_conflicts))
@@ -440,6 +464,12 @@ class Solver:
         ]
         return Result.UNSAT
 
+    def _record_no_search(self) -> None:
+        """Account a check that answered without searching."""
+        self.statistics.checks += 1
+        self.last_check_stats = {f: 0.0 for f in _SEARCH_FIELDS}
+        self.last_check_stats["check_time"] = 0.0
+
     def _check_preprocessed(self, assumption_lits: List[int],
                             lit_to_term: Dict[int, Term],
                             limits: Limits) -> Result:
@@ -469,9 +499,7 @@ class Solver:
         if limits.max_time is not None:
             remaining = limits.max_time - preprocess_elapsed
             if remaining <= 0:
-                self.statistics.checks += 1
-                self.last_check_stats = {f: 0.0 for f in _SEARCH_FIELDS}
-                self.last_check_stats["check_time"] = 0.0
+                self._record_no_search()
                 self.last_limit_reason = LimitReason.TIME
                 return Result.UNKNOWN
             limits = limits.with_time(remaining)
@@ -482,9 +510,7 @@ class Solver:
         self.statistics.simplified_clauses = len(result.cnf.clauses)
 
         if result.unsat:
-            self.statistics.checks += 1
-            self.last_check_stats = {f: 0.0 for f in _SEARCH_FIELDS}
-            self.last_check_stats["check_time"] = 0.0
+            self._record_no_search()
             self._last_unsat_proof = (list(self._cnf.clauses),
                                       list(result.proof_additions),
                                       self._cnf.num_vars)

@@ -7,7 +7,7 @@ import pytest
 from repro.core import ObservabilityProblem
 from repro.core.encoder import ModelEncoder
 from repro.core.reference import ReferenceEvaluator
-from repro.core.specs import FailureBudget
+from repro.core.specs import FailureBudget, Property
 from repro.smt import And, Not, Result, Solver
 
 
@@ -63,7 +63,7 @@ def test_not_observability_matches_reference(tiny_network, tiny_problem):
             solver.add(*encoder.availability_axioms())
             solver.add(*encoder.delivery_definitions(secured=False))
             solver.add(*_fix_nodes(encoder, set(failed)))
-            solver.add(encoder.not_observability(secured=False))
+            solver.add(encoder.property_negation(Property.OBSERVABILITY))
             outcome = solver.check()
             expected = not reference.observable(failed)
             assert (outcome == Result.SAT) == expected, failed

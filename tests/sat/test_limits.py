@@ -98,6 +98,30 @@ def test_limits_with_time_and_describe():
     assert Limits().describe() == "unbounded"
 
 
+def test_limits_remaining_deducts_spent_work():
+    limits = Limits(max_time=2.0, max_conflicts=50, max_propagations=900,
+                    max_memory_mb=64.0)
+    left = limits.remaining(elapsed=0.5, conflicts=20, propagations=1000)
+    assert left.max_time == 1.5
+    assert left.max_conflicts == 30
+    assert left.max_propagations == 0
+    assert left.max_memory_mb == 64.0
+    assert Limits().remaining(1.0, 10, 10).unbounded
+
+
+def test_interrupted_facade_check_is_unknown_even_at_level_zero():
+    from repro.smt import Bool, Not, Result, Solver
+
+    x = Bool("x")
+    solver = Solver()
+    solver.add(x, Not(x))
+    solver.interrupt()
+    assert solver.check() is Result.UNKNOWN
+    assert solver.last_limit_reason is LimitReason.INTERRUPT
+    solver.clear_interrupt()
+    assert solver.check() is Result.UNSAT
+
+
 def test_resource_limit_reached_carries_context():
     exc = ResourceLimitReached("boom", reason=LimitReason.TIME,
                                partial=[1, 2])
