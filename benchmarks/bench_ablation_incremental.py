@@ -6,8 +6,7 @@ Three workloads exercise the engine's ablation axes:
   sequence of budget-only-different queries.  ``fresh`` re-encodes per
   query; ``incremental`` encodes the delivery layer once and scopes
   budgets with push/pop activation literals; ``assumption`` selects
-  budgets with assumption literals over persistent extendable counters;
-  ``preprocessed`` additionally simplifies each CNF.
+  budgets with assumption literals over persistent extendable counters.
 * **budget-sweep axis** (the three-way ablation): a >= 20-query sweep
   over failure budgets run on ``fresh`` vs ``incremental`` vs
   ``assumption``, recording per-budget search effort and learned-clause

@@ -1,25 +1,18 @@
-"""Solver hot-path benchmark — arena/inprocessing/portfolio on 118-bus.
+"""Solver hot-path benchmark — arena and inprocessing on 118-bus.
 
 Measures what the clause-arena solver rewrite buys the verification
-stack on the largest evaluation case, across the full configuration
-matrix {fresh, assumption, portfolio} x {inprocess on, off}:
+stack on the largest evaluation case, across the configuration matrix
+{fresh, assumption} x {inprocess on, off}:
 
 * **max-resiliency axis**: the total-budget observability search per
   hierarchy level — wall time, inprocessing counters (clauses
   subsumed / strengthened / vivified, arena compactions), and the
-  returned bounds, which must be identical across all six
+  returned bounds, which must be identical across all four
   configurations (the overhaul is an optimization, never an answer
   change).
 * **trajectory axis** (Fig. 5/6 shape): per-budget verify wall times
   along the k ladder up to three steps past the certificate.  The
-  rungs past ``k*`` are the *hard* queries; the ``k*+1`` rung on the
-  deepest (uncertified) hierarchy is where the probe's propagation cap
-  trips and the diversified pool takes over.  Two win notions are
-  reported: ``portfolio_hard_wins`` (a portfolio config was outright
-  wall-fastest on a hard rung) and ``portfolio_fan_out_wins`` (a
-  pooled worker/cube decided a hard rung — the race the portfolio is
-  built around; on single-core hosts the pool is time-shared, so this
-  is the honest signal there while wall wins need real parallelism).
+  rungs past ``k*`` are the *hard* queries.
 
 Run directly (``python benchmarks/bench_solver_hotpath.py``) to write
 ``BENCH_solver.json`` at the repo root; ``BENCH_SMOKE=1`` switches to
@@ -37,7 +30,6 @@ from typing import Any, Dict, List, Tuple
 
 from repro.core import ObservabilityProblem, Property, ResiliencySpec
 from repro.engine import VerificationEngine
-from repro.engine.sweep import resolve_jobs
 from repro.grid import case_by_buses
 from repro.obs.tracer import Tracer, set_tracer
 from repro.scada import GeneratorConfig, generate_scada
@@ -48,21 +40,15 @@ HIERARCHIES = (1, 2)
 SEED = 7
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver.json"
 
-#: Portfolio pool width.  Auto-sizing would collapse to inline mode on
-#: single-core runners, hiding the race entirely, so the floor keeps a
-#: real fan-out (time-shared if need be) on every machine.
-PORTFOLIO_JOBS = int(os.environ.get("BENCH_PORTFOLIO_JOBS", "0")) \
-    or max(4, resolve_jobs(None))
-
 #: The benchmark matrix: every backend crossed with inprocessing on/off.
-BACKENDS = ("fresh", "assumption", "portfolio")
+BACKENDS = ("fresh", "assumption")
 CONFIGS: Tuple[Tuple[str, bool], ...] = tuple(
     (backend, inprocess)
     for backend in BACKENDS
     for inprocess in (True, False))
 
 #: Counter prefixes harvested from the tracer per measurement.
-_PREFIXES = ("solver.inprocess.", "solver.arena.", "portfolio.")
+_PREFIXES = ("solver.inprocess.", "solver.arena.")
 
 
 def _config_key(backend: str, inprocess: bool) -> str:
@@ -82,9 +68,8 @@ def _build(hierarchy: int):
 def _engine(network, problem, backend: str,
             inprocess: bool) -> VerificationEngine:
     opts: Dict[str, object] = {} if inprocess else {"inprocess": False}
-    jobs = PORTFOLIO_JOBS if backend == "portfolio" else 1
     return VerificationEngine(network, problem, backend=backend,
-                              lint=False, jobs=jobs, solver_opts=opts)
+                              lint=False, solver_opts=opts)
 
 
 def _traced(fn):
@@ -138,8 +123,7 @@ def _bench_trajectory(network, problem, k_star: int) -> Dict[str, Any]:
     The ladder runs from 0 to three steps past the certificate: the
     rungs beyond k* are the *hard* queries — past the certified
     maximum the minimal-witness search (and, deeper still, the
-    minimization of large threat vectors) dominates, which is where
-    the portfolio's probe budget runs out and the pool takes over.
+    minimization of large threat vectors) dominates.
     """
     depth = 1 if SMOKE else 3
     ks = sorted({0, max(0, k_star)}
@@ -156,12 +140,6 @@ def _bench_trajectory(network, problem, k_star: int) -> Dict[str, Any]:
             key = _config_key(backend, inprocess)
             row[key] = {"wall_s": round(wall, 3),
                         "status": result.status.value}
-            if backend == "portfolio":
-                pf = result.details.get("portfolio", {})
-                row[key]["mode"] = pf.get("mode", "fan-out")
-                if "winner" in pf:
-                    row[key]["winner"] = pf["winner"]
-                    row[key]["win_kind"] = pf.get("win_kind")
             verdicts.add(result.status.value)
             if best is None or wall < best[1]:
                 best = (key, wall)
@@ -193,44 +171,10 @@ def _bench_hierarchy(hierarchy: int) -> Dict[str, Any]:
     }
 
 
-def _portfolio_hard_wins(payload: Dict[str, Any]) -> List[str]:
-    """Hard-ladder rungs where a portfolio config was outright fastest."""
-    wins = []
-    for key, entry in payload.items():
-        if not key.startswith("hierarchy_"):
-            continue
-        for row in entry["trajectory"]["ladder"]:
-            if row["hard"] and row["fastest"].startswith("portfolio"):
-                wins.append(f"{key}:k={row['k']}")
-    return wins
-
-
-def _portfolio_fan_out_wins(payload: Dict[str, Any]) -> List[str]:
-    """Hard rungs the portfolio decided through a pooled worker/cube
-    (as opposed to the probe or inline fallback)."""
-    wins = []
-    for key, entry in payload.items():
-        if not key.startswith("hierarchy_"):
-            continue
-        for row in entry["trajectory"]["ladder"]:
-            if not row["hard"]:
-                continue
-            for config, cell in row.items():
-                if (isinstance(cell, dict)
-                        and str(config).startswith("portfolio")
-                        and cell.get("winner")):
-                    wins.append(f"{key}:k={row['k']}:{config}"
-                                f"->{cell['winner']}")
-    return wins
-
-
 def main() -> None:
     payload: Dict[str, Any] = {
         f"hierarchy_{h}": _bench_hierarchy(h) for h in HIERARCHIES}
     payload["config_matrix"] = [_config_key(b, i) for b, i in CONFIGS]
-    payload["portfolio_jobs"] = PORTFOLIO_JOBS
-    payload["portfolio_hard_wins"] = _portfolio_hard_wins(payload)
-    payload["portfolio_fan_out_wins"] = _portfolio_fan_out_wins(payload)
     payload["smoke"] = SMOKE
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT}")
@@ -241,10 +185,6 @@ def main() -> None:
                  for c in payload["config_matrix"]}
         print(f"hierarchy_{h}: k*={maxima['k_star']} "
               f"max-resiliency walls {walls}")
-    print(f"portfolio hard-query wins: "
-          f"{payload['portfolio_hard_wins'] or 'none'}")
-    print(f"portfolio fan-out wins: "
-          f"{payload['portfolio_fan_out_wins'] or 'none'}")
 
 
 if __name__ == "__main__":

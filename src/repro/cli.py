@@ -135,16 +135,22 @@ def _limits_from_args(args) -> Optional[Limits]:
     return Limits(max_time=timeout, max_conflicts=max_conflicts)
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` values: a non-negative integer (0 = all cores)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_engine_args(parser: argparse.ArgumentParser,
                      jobs: bool = True) -> None:
     parser.add_argument("--backend", default="fresh",
                         choices=BACKEND_NAMES,
                         help="verification backend (fresh solver per "
-                             "query, incremental push/pop, "
+                             "query, incremental push/pop, or "
                              "assumption-selected budgets on one "
-                             "persistent solver, preprocessed CNF, or "
-                             "a parallel portfolio racing diversified "
-                             "solvers and cube splits per hard query)")
+                             "persistent solver)")
     parser.add_argument("--inprocess", default=True,
                         action=argparse.BooleanOptionalAction,
                         help="inter-restart learned-clause inprocessing "
@@ -157,10 +163,9 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                              "solver events, metrics); aggregate with "
                              "'repro stats FILE'")
     if jobs:
-        parser.add_argument("--jobs", type=int, default=1,
+        parser.add_argument("--jobs", type=_jobs, default=1,
                             help="worker processes for independent "
-                                 "searches, or the portfolio backend's "
-                                 "pool width (0 = all cores)")
+                                 "searches (0 = all cores)")
 
 
 def _solver_opts_from_args(args) -> Dict[str, object]:
@@ -169,15 +174,6 @@ def _solver_opts_from_args(args) -> Dict[str, object]:
     if not getattr(args, "inprocess", True):
         opts["inprocess"] = False
     return opts
-
-
-def _engine_jobs(args) -> int:
-    """The engine's pool width: ``--jobs`` when given, else auto-size
-    the portfolio (its pool is useless at the default width of 1)."""
-    jobs = getattr(args, "jobs", None)
-    if jobs in (None, 1) and getattr(args, "backend", "") == "portfolio":
-        return 0
-    return jobs if jobs is not None else 1
 
 
 def _add_spec_args(parser: argparse.ArgumentParser) -> None:
@@ -201,12 +197,10 @@ def _cmd_verify(args) -> int:
     # reports all of them at once instead of dying on the first.
     config = load_config(args.config, strict=False)
     spec = _spec_from_args(args, config.spec)
-    backend = "preprocessed" if args.preprocess else args.backend
     try:
         engine = VerificationEngine(config.network, config.problem,
-                                    backend=backend,
+                                    backend=args.backend,
                                     lint=not args.no_lint,
-                                    jobs=_engine_jobs(args),
                                     solver_opts=_solver_opts_from_args(args))
     except ConfigurationLintError as exc:
         print(exc.report.to_text(), file=sys.stderr)
@@ -300,7 +294,6 @@ def _cmd_enumerate(args) -> int:
     spec = _spec_from_args(args, config.spec)
     engine = VerificationEngine(config.network, config.problem,
                                 backend=args.backend,
-                                jobs=_engine_jobs(args),
                                 solver_opts=_solver_opts_from_args(args))
     space = threat_space(engine, spec, limit=args.limit,
                          limits=_limits_from_args(args),
@@ -390,19 +383,15 @@ def _cmd_max_resiliency(args) -> int:
     prop = Property(args.property)
     limits = _limits_from_args(args)
     screen = not args.no_screen
-    if args.jobs not in (None, 1) and args.backend != "portfolio":
+    if args.jobs != 1:
         tasks = [(args.config, prop.value, kind, args.backend, limits,
                   screen, _solver_opts_from_args(args))
                  for kind in ("total", "ied", "rtu")]
         total, ied, rtu = SweepExecutor(args.jobs).map(
             _max_search_task, tasks)
     else:
-        # The portfolio backend fans out per query itself, so the
-        # three searches run sequentially against one engine and
-        # --jobs sizes the portfolio pool instead of a CLI sweep.
         engine = VerificationEngine(config.network, config.problem,
                                     backend=args.backend,
-                                    jobs=_engine_jobs(args),
                                     solver_opts=_solver_opts_from_args(args))
         total = engine.max_total_resiliency_bounds(prop, limits=limits,
                                                    screen=screen)
@@ -429,7 +418,7 @@ def _cmd_report(args) -> int:
                         threat_limit=args.limit,
                         include_hardening=not args.no_hardening,
                         backend=args.backend,
-                        jobs=_engine_jobs(args),
+                        jobs=args.jobs,
                         limits=_limits_from_args(args),
                         solver_opts=_solver_opts_from_args(args))
     if args.out:
@@ -823,10 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--no-lint", action="store_true", dest="no_lint",
                           help="skip the configuration linter and verify "
                                "even with error-level diagnostics")
-    p_verify.add_argument("--preprocess", action="store_true",
-                          help="simplify the CNF encoding before solving "
-                               "(alias for --backend preprocessed)")
-    _add_engine_args(p_verify)
+    _add_engine_args(p_verify, jobs=False)
     _add_spec_args(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -987,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321,
                          help="listen port (0 = ephemeral, printed at "
                               "startup)")
-    p_serve.add_argument("--jobs", type=int, default=None,
+    p_serve.add_argument("--jobs", type=_jobs, default=None,
                          help="solver worker threads (default/0 = "
                               "cores minus one, reserving a core for "
                               "the event loop)")
@@ -1097,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="K", help="total failure budgets")
     p_crun.add_argument("-r", type=int, default=1,
                         help="corrupted-measurement budget (bad data)")
-    p_crun.add_argument("--jobs", type=int, default=1,
+    p_crun.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes (0 = all cores)")
     p_crun.add_argument("--task-timeout", type=float, default=None,
                         dest="task_timeout", metavar="SECONDS",

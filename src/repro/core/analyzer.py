@@ -16,7 +16,7 @@ top of ``verify`` (see :mod:`repro.analysis`).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import current_tracer, probe_for
 from ..obs.tracer import span as obs_span
@@ -60,21 +60,21 @@ class ConfigurationLintError(ValueError):
 class ScadaAnalyzer:
     """Resiliency verification for one SCADA configuration."""
 
+    #: The engine backend this analyzer implements; every result
+    #: names it.
+    backend_name = "fresh"
+
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
                  card_encoding: str = "totalizer",
                  lint: bool = True,
-                 preprocess: bool = False,
                  reference: Optional[ReferenceEvaluator] = None,
                  solver_opts: Optional[Dict[str, object]] = None) -> None:
         self.network = network
         self.problem = problem
         self.card_encoding = card_encoding
-        self.preprocess = preprocess
-        #: Forwarded to every SAT substrate this analyzer builds:
-        #: ``inprocess`` (the ``--no-inprocess`` switch), portfolio
-        #: worker diversification (``seed``/``phase_init``/
-        #: ``restart_base``), ``cube`` assumptions, ``interrupt_check``.
+        #: Forwarded to every SAT substrate this analyzer builds, e.g.
+        #: ``{"inprocess": False}`` (the ``--no-inprocess`` switch).
         self.solver_opts = dict(solver_opts or {})
         if lint:
             # Imported lazily: repro.lint imports core modules at module
@@ -115,47 +115,36 @@ class ScadaAnalyzer:
         if solver is not None:
             solver.clear_interrupt()
 
-    @property
-    def backend_name(self) -> str:
-        return "preprocessed" if self.preprocess else "fresh"
-
-    def _build(self, spec: ResiliencySpec,
-               produce_proof: bool = False,
-               preprocess: Optional[bool] = None,
-               defer: bool = False) -> tuple:
-        """Encode the threat-verification model into a fresh solver.
-
-        Returns ``(solver, encoder, negation, encode_time)``.  With
-        *defer* the negation's deferred branch waits for phase 2 (see
-        :mod:`repro.core.negation`); without it the solver holds the
-        full disjunction.
-        """
+    def _start(self, spec: ResiliencySpec, produce_proof: bool
+               ) -> Tuple[Solver, ModelEncoder]:
+        """A fresh solver, reachable by :meth:`interrupt`, with the
+        whole threat model except ``¬property`` asserted."""
         encoder = ModelEncoder(self.network, self.problem,
                                model_links=spec.link_k is not None)
         solver = Solver(card_encoding=self.card_encoding,
                         produce_proof=produce_proof,
-                        preprocess=(self.preprocess if preprocess is None
-                                    else preprocess),
                         solver_opts=self.solver_opts)
         self._live_solver = solver
         if self._interrupt_requested:
             solver.interrupt()
         solver.set_hooks(probe_for(current_tracer()))
-        started = time.perf_counter()
+        solver.add(*encoder.availability_axioms())
+        solver.add(*encoder.delivery_definitions(secured=False))
+        if spec.property.uses_security:
+            solver.add(*encoder.delivery_definitions(secured=True))
+        solver.add(encoder.budget_constraint(spec.budget))
+        if spec.link_k is not None:
+            solver.add(encoder.link_budget_constraint(spec.link_k))
+        return solver, encoder
+
+    def _build(self, spec: ResiliencySpec, produce_proof: bool = False
+               ) -> Tuple[Solver, ModelEncoder]:
+        """The whole threat model in a fresh solver, ``¬property`` as
+        one disjunction: what enumeration, sizes and exports see."""
         with obs_span("encode", backend=self.backend_name):
-            solver.add(*encoder.availability_axioms())
-            solver.add(*encoder.delivery_definitions(secured=False))
-            if spec.property.uses_security:
-                solver.add(*encoder.delivery_definitions(secured=True))
-            solver.add(encoder.budget_constraint(spec.budget))
-            if spec.link_k is not None:
-                solver.add(encoder.link_budget_constraint(spec.link_k))
-            branches = (
-                encoder.negation_branches(spec.property, spec.r) if defer
-                else (encoder.property_negation(spec.property, spec.r),))
-            negation = PhasedNegation(solver, self.backend_name, *branches)
-        encode_time = time.perf_counter() - started
-        return solver, encoder, negation, encode_time
+            solver, encoder = self._start(spec, produce_proof)
+            solver.add(encoder.property_negation(spec.property, spec.r))
+        return solver, encoder
 
     def _extract_threat(self, solver: Solver, encoder: ModelEncoder,
                         spec: ResiliencySpec,
@@ -179,21 +168,18 @@ class ScadaAnalyzer:
         bounds the solve (see :class:`repro.sat.Limits`); an expired
         budget yields an UNKNOWN result naming the reason, never a
         spurious verdict.
-        """
-        return self._verify(spec, minimize=minimize,
-                            max_conflicts=max_conflicts, certify=certify,
-                            limits=limits, defer=not self.preprocess)
 
-    def _verify(self, spec: ResiliencySpec, minimize: bool = True,
-                max_conflicts: Optional[int] = None,
-                certify: bool = False,
-                limits: Optional[Limits] = None,
-                defer: bool = True) -> VerificationResult:
-        """:meth:`verify`; *defer* splits the negation into phases
-        (the preprocessed backend and portfolio workers keep the full
-        disjunction)."""
-        solver, encoder, negation, encode_time = self._build(
-            spec, produce_proof=certify, defer=defer)
+        ``¬property`` is solved in two phases, its deferred branch
+        built only when the eager one is UNSAT (see
+        :mod:`repro.core.negation`).
+        """
+        started = time.perf_counter()
+        with obs_span("encode", backend=self.backend_name):
+            solver, encoder = self._start(spec, produce_proof=certify)
+            negation = PhasedNegation(
+                solver, self.backend_name,
+                *encoder.negation_branches(spec.property, spec.r))
+        encode_time = time.perf_counter() - started
         phases = negation.check(max_conflicts=max_conflicts, limits=limits)
         outcome = phases.result
         result = VerificationResult(
@@ -248,7 +234,7 @@ class ScadaAnalyzer:
         :exc:`~repro.sat.ResourceLimitReached` is raised with the
         vectors found so far on its ``partial`` attribute.
         """
-        solver, encoder, _, _ = self._build(spec)
+        solver, encoder = self._build(spec)
         node_vars = encoder.field_node_vars()
 
         def check() -> Optional[bool]:
@@ -294,19 +280,17 @@ class ScadaAnalyzer:
 
     def model_size(self, spec: ResiliencySpec) -> Dict[str, int]:
         """Encoded model size (vars/clauses) without solving."""
-        solver, _, _, _ = self._build(spec)
+        solver, _ = self._build(spec)
         return {"vars": solver.num_vars, "clauses": solver.num_clauses}
 
     def export_cnf(self, spec: ResiliencySpec) -> tuple:
         """The Tseitin-emitted CNF of the threat model, plus its frozen
         variables (the named model variables an analysis must keep).
 
-        Used by ``repro lint --encoding`` and the preprocessing
-        benchmarks; solving is untouched.
+        Used by ``repro lint --encoding``; nothing is solved.
         """
-        solver, _, _, _ = self._build(spec, preprocess=True)
-        assert solver.cnf is not None
-        return solver.cnf, set(solver.named_variables().values())
+        solver, _ = self._build(spec, produce_proof=True)
+        return solver.cnf(), set(solver.named_variables().values())
 
     def export_smtlib(self, spec: ResiliencySpec) -> str:
         """The full threat-verification model as an SMT-LIB 2 script.
@@ -317,7 +301,7 @@ class ScadaAnalyzer:
         """
         from ..smt.smtlib import to_smtlib
 
-        solver, _, _, _ = self._build(spec)
+        solver, _ = self._build(spec)
         return to_smtlib(
             solver.assertions(),
             comment=(f"SCADA resiliency threat model: {spec.describe()}\n"

@@ -25,9 +25,7 @@ Two budget-selection modes are supported:
 The verdicts are identical by construction; the ablation benchmark
 ``bench_ablation_incremental`` quantifies the difference.  The
 :class:`~repro.engine.VerificationEngine`'s ``incremental`` and
-``assumption`` backends keep contexts in its encoding cache;
-:class:`IncrementalAnalyzer` remains as the original
-budget-parameterized facade over a single context.
+``assumption`` backends keep contexts in its encoding cache.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import Dict, List, Optional
 from ..obs.tracer import current_tracer, probe_for
 from ..obs.tracer import span as obs_span
 from ..sat.enumeration import drive_enumeration
-from ..sat.limits import Limits, ResourceLimitReached
+from ..sat.limits import Limits
 from ..scada.network import ScadaNetwork
 from ..smt.solver import BudgetHandle, Result, Solver
 from ..smt.terms import Bool, BoolVal, Implies, Not, Or, Term
@@ -49,10 +47,9 @@ from .negation import PhaseOutcome, PhasedNegation
 from .problem import ObservabilityProblem
 from .reference import ReferenceEvaluator
 from .results import Status, ThreatVector, VerificationResult
-from .search import galloping_max_bounded
-from .specs import FailureBudget, Property, ResiliencySpec
+from .specs import Property, ResiliencySpec
 
-__all__ = ["BUDGET_MODES", "IncrementalContext", "IncrementalAnalyzer"]
+__all__ = ["BUDGET_MODES", "IncrementalContext"]
 
 #: How a context binds each query's budget to the shared solver.
 BUDGET_MODES = ("scopes", "assumptions")
@@ -368,97 +365,3 @@ class IncrementalContext:
             return list(drive_enumeration(
                 check, extract, block, limit=limit, what="threat vector",
                 limit_reason=lambda: solver.last_limit_reason))
-
-    # ------------------------------------------------------------------
-
-    def max_total_resiliency(self,
-                             max_conflicts: Optional[int] = None,
-                             limits: Optional[Limits] = None) -> int:
-        """Largest k with the property k-resilient (galloping search).
-
-        An UNKNOWN probe is neither bound: the search stops refining
-        and raises :exc:`~repro.sat.ResourceLimitReached` carrying the
-        sound :class:`~repro.core.search.SearchBounds` bracket.
-        """
-        def probe(k: int) -> Optional[bool]:
-            outcome = self.verify(
-                ResiliencySpec.for_property(self.prop, r=self.r, k=k),
-                minimize=False, max_conflicts=max_conflicts,
-                limits=limits)
-            if outcome.status is Status.UNKNOWN:
-                return None
-            return outcome.is_resilient
-
-        bounds = galloping_max_bounded(
-            probe, len(self.network.field_device_ids))
-        if not bounds.exact:
-            raise ResourceLimitReached(
-                f"budget exhausted in incremental max-resiliency "
-                f"search; maximum {bounds.describe()}",
-                bounds=bounds)
-        return bounds.lower
-
-
-class IncrementalAnalyzer:
-    """Budget-parameterized verification over a fixed property.
-
-    The property (and ``r``, for bad-data detectability) is fixed at
-    construction; :meth:`verify_budget` then answers any
-    :class:`FailureBudget` against the shared encoding.  This is the
-    original facade kept for API compatibility; new code should go
-    through :class:`~repro.engine.VerificationEngine` with
-    ``backend="incremental"`` (or ``"assumption"``), which additionally
-    caches contexts across properties.
-    """
-
-    def __init__(self, network: ScadaNetwork,
-                 problem: ObservabilityProblem,
-                 prop: Property = Property.OBSERVABILITY,
-                 r: int = 1,
-                 card_encoding: str = "totalizer",
-                 budget_mode: str = "scopes") -> None:
-        self._ctx = IncrementalContext(network, problem, prop=prop, r=r,
-                                       card_encoding=card_encoding,
-                                       budget_mode=budget_mode)
-
-    @property
-    def network(self) -> ScadaNetwork:
-        return self._ctx.network
-
-    @property
-    def problem(self) -> ObservabilityProblem:
-        return self._ctx.problem
-
-    @property
-    def prop(self) -> Property:
-        return self._ctx.prop
-
-    @property
-    def r(self) -> int:
-        return self._ctx.r
-
-    @property
-    def reference(self) -> ReferenceEvaluator:
-        return self._ctx.reference
-
-    @property
-    def base_encode_time(self) -> float:
-        return self._ctx.base_encode_time
-
-    def verify_budget(self, budget: FailureBudget,
-                      minimize: bool = True,
-                      max_conflicts: Optional[int] = None,
-                      limits: Optional[Limits] = None
-                      ) -> VerificationResult:
-        """Verify the fixed property under one failure budget."""
-        spec = ResiliencySpec(self.prop, budget, r=self.r)
-        return self._ctx.verify(spec, minimize=minimize,
-                                max_conflicts=max_conflicts,
-                                limits=limits)
-
-    def max_total_resiliency(self,
-                             max_conflicts: Optional[int] = None,
-                             limits: Optional[Limits] = None) -> int:
-        """Largest k with the property k-resilient (galloping search)."""
-        return self._ctx.max_total_resiliency(max_conflicts=max_conflicts,
-                                              limits=limits)

@@ -87,7 +87,7 @@ class VerificationResult:
     num_clauses: int = 0
     details: Dict[str, object] = field(default_factory=dict)
     #: Which verification backend produced this result
-    #: ("fresh", "incremental", "preprocessed").
+    #: ("fresh", "incremental", "assumption").
     backend: str = "fresh"
     #: Per-query solver search statistics (conflicts, decisions,
     #: propagations, restarts, check_time) — deltas attributable to this

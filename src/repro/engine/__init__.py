@@ -12,8 +12,6 @@ from .backends import (
     AssumptionBackend,
     FreshBackend,
     IncrementalBackend,
-    PortfolioBackend,
-    PreprocessedBackend,
     VerificationBackend,
     make_backend,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "EncodingKey",
     "FreshBackend",
     "IncrementalBackend",
-    "PortfolioBackend",
-    "PreprocessedBackend",
     "SweepExecutor",
     "SweepTaskError",
     "VerificationBackend",

@@ -13,12 +13,7 @@ encoding work differently:
 * ``assumption`` — like ``incremental``, but budgets (and the bad-data
   ``r``) are selected by assumption literals over persistent extendable
   counters instead of push/pop scopes, so *all* learned clauses survive
-  across budgets and one cached context serves every ``(k, r)``;
-* ``preprocessed`` — buffer the encoding as CNF and run the lint
-  subsystem's SatELite-style simplifier before each solve;
-* ``portfolio`` — probe in-process, then race one hard query across a
-  process pool of diversified solvers and cube-and-conquer splits,
-  first decisive finisher wins (see :mod:`repro.engine.portfolio`).
+  across budgets and one cached context serves every ``(k, r)``.
 
 All backends return :class:`~repro.core.results.VerificationResult`
 objects carrying per-query solver statistics and are verdict-equivalent
@@ -46,8 +41,6 @@ __all__ = [
     "AssumptionBackend",
     "FreshBackend",
     "IncrementalBackend",
-    "PortfolioBackend",
-    "PreprocessedBackend",
     "VerificationBackend",
     "make_backend",
 ]
@@ -87,7 +80,6 @@ class FreshBackend:
     """One fresh solver and full re-encode per query."""
 
     name = "fresh"
-    _preprocess = False
 
     def __init__(self, network: ScadaNetwork,
                  problem: ObservabilityProblem,
@@ -97,8 +89,7 @@ class FreshBackend:
         # Lint runs once in the engine; backends never re-lint.
         self.analyzer = ScadaAnalyzer(
             network, problem, card_encoding=card_encoding, lint=False,
-            preprocess=self._preprocess, reference=reference,
-            solver_opts=solver_opts)
+            reference=reference, solver_opts=solver_opts)
 
     def verify(self, spec: ResiliencySpec, minimize: bool = True,
                max_conflicts: Optional[int] = None,
@@ -125,13 +116,6 @@ class FreshBackend:
     def clear_interrupt(self) -> None:
         """Re-arm the backend after an :meth:`interrupt`."""
         self.analyzer.clear_interrupt()
-
-
-class PreprocessedBackend(FreshBackend):
-    """Fresh encoding, simplified by the CNF preprocessor before solving."""
-
-    name = "preprocessed"
-    _preprocess = True
 
 
 class IncrementalBackend:
@@ -290,18 +274,12 @@ class AssumptionBackend(IncrementalBackend):
     _budget_mode = "assumptions"
 
 
-# Imported late: repro.engine.portfolio imports this module's siblings.
-from .portfolio import PortfolioBackend  # noqa: E402
-
-BACKEND_NAMES = ("fresh", "incremental", "assumption", "preprocessed",
-                 "portfolio")
+BACKEND_NAMES = ("fresh", "incremental", "assumption")
 
 _CLASSES = {
     "fresh": FreshBackend,
     "incremental": IncrementalBackend,
     "assumption": AssumptionBackend,
-    "preprocessed": PreprocessedBackend,
-    "portfolio": PortfolioBackend,
 }
 
 
@@ -310,16 +288,14 @@ def make_backend(name: str, network: ScadaNetwork,
                  card_encoding: str = "totalizer",
                  reference: Optional[ReferenceEvaluator] = None,
                  cache: Optional[EncodingCache] = None,
-                 jobs: int = 0,
                  solver_opts: Optional[Dict[str, object]] = None
                  ) -> VerificationBackend:
     """Instantiate a backend by name (``fresh`` | ``incremental`` |
-    ``assumption`` | ``preprocessed`` | ``portfolio``).
+    ``assumption``).
 
-    *jobs* sizes the portfolio's process pool (``0`` → usable CPU
-    count; other backends ignore it).  *solver_opts* is forwarded to
-    every SAT substrate the backend builds — e.g. ``{"inprocess":
-    False}`` to disable inter-restart clause-database inprocessing.
+    *solver_opts* is forwarded to every SAT substrate the backend
+    builds — e.g. ``{"inprocess": False}`` to disable inter-restart
+    clause-database inprocessing.
     """
     try:
         cls = _CLASSES[name]
@@ -327,10 +303,6 @@ def make_backend(name: str, network: ScadaNetwork,
         raise ValueError(
             f"unknown backend {name!r}; expected one of "
             f"{', '.join(BACKEND_NAMES)}") from None
-    if cls is PortfolioBackend:
-        return cls(network, problem, card_encoding=card_encoding,
-                   reference=reference, jobs=jobs,
-                   solver_opts=solver_opts)
     if issubclass(cls, IncrementalBackend):
         return cls(network, problem, card_encoding=card_encoding,
                    reference=reference, cache=cache,

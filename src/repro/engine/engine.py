@@ -6,13 +6,8 @@ enumeration, hardening, the audit report — programs against.  It owns
 
 * the lint gate (run once per configuration, not per query),
 * a shared :class:`~repro.core.reference.ReferenceEvaluator`,
-* a pluggable backend (``fresh`` | ``incremental`` | ``assumption`` |
-  ``preprocessed``),
-* the encoding cache feeding the incremental backend, and
-* the default parallelism for sweep executors spawned on its behalf.
-
-Future scaling work (batching, sharding, portfolio solving) plugs in
-here as new backends without touching any consumer.
+* a pluggable backend (``fresh`` | ``incremental`` | ``assumption``), and
+* the encoding cache feeding the persistent-context backends.
 """
 
 from __future__ import annotations
@@ -47,14 +42,12 @@ class VerificationEngine:
                  backend: str = "fresh",
                  card_encoding: str = "totalizer",
                  lint: bool = True,
-                 jobs: int = 1,
                  cache: Optional[EncodingCache] = None,
                  reference: Optional[ReferenceEvaluator] = None,
                  solver_opts: Optional[Dict[str, object]] = None) -> None:
         self.network = network
         self.problem = problem
         self.card_encoding = card_encoding
-        self.jobs = jobs
         #: Forwarded to every SAT substrate any backend builds — e.g.
         #: ``{"inprocess": False}`` for ``--no-inprocess``.  Fixed for
         #: the engine's life and shared by with_backend siblings.
@@ -71,7 +64,7 @@ class VerificationEngine:
         self.cache = cache if cache is not None else EncodingCache()
         self._backend: VerificationBackend = make_backend(
             backend, network, problem, card_encoding=card_encoding,
-            reference=self.reference, cache=self.cache, jobs=jobs,
+            reference=self.reference, cache=self.cache,
             solver_opts=self.solver_opts)
         self._export_analyzer: Optional[ScadaAnalyzer] = None
         self._structural: Optional["StructuralAnalysis"] = None
@@ -120,7 +113,7 @@ class VerificationEngine:
         return VerificationEngine(
             self.network, self.problem, backend=backend,
             card_encoding=self.card_encoding, lint=False,
-            jobs=self.jobs, cache=self.cache, reference=self.reference,
+            cache=self.cache, reference=self.reference,
             solver_opts=self.solver_opts)
 
     @classmethod
@@ -135,8 +128,7 @@ class VerificationEngine:
         """
         if isinstance(subject, cls):
             return subject
-        backend = "preprocessed" if subject.preprocess else "fresh"
-        return cls(subject.network, subject.problem, backend=backend,
+        return cls(subject.network, subject.problem, backend="fresh",
                    card_encoding=subject.card_encoding, lint=False,
                    reference=subject.reference)
 
@@ -421,4 +413,4 @@ class VerificationEngine:
 
     def __repr__(self) -> str:
         return (f"VerificationEngine({self.network.name!r}, "
-                f"backend={self.backend_name!r}, jobs={self.jobs})")
+                f"backend={self.backend_name!r})")

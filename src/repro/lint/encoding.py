@@ -74,7 +74,7 @@ def analyze_cnf(cnf: CNF, frozen: Iterable[int] = (),
             f"{len(duplicates)} clauses occur more than once "
             f"(e.g. {shown_clauses[0]}); duplicates waste propagation "
             f"work",
-            hint="emit each constraint once, or preprocess the formula"))
+            hint="emit each constraint once"))
 
     pure = sorted(
         v for v in mentioned - frozen_set
@@ -84,8 +84,9 @@ def analyze_cnf(cnf: CNF, frozen: Iterable[int] = (),
         report.append(Diagnostic(
             "CNF004", Severity.INFO,
             f"{total} non-frozen variables occur in a single polarity "
-            f"(e.g. {', '.join(map(str, shown))}); the preprocessor can "
-            f"satisfy their clauses outright",
-            hint="run with preprocess=True to eliminate them"))
+            f"(e.g. {', '.join(map(str, shown))}); setting each to that "
+            f"polarity satisfies its clauses outright",
+            hint="freeze any variable an assumption may force; the rest "
+                 "are safe to eliminate before solving"))
 
     return report

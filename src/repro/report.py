@@ -7,8 +7,9 @@ attack, and hardening suggestions — into a single Markdown document.
 Exposed on the CLI as ``python -m repro report <config>``.
 
 All verification runs through one :class:`~repro.engine.VerificationEngine`
-(``backend=`` selects the strategy); with ``jobs > 1`` the per-property
-maximal-resiliency searches fan out across a process pool.
+(``backend=`` selects the strategy); when *jobs* resolves to more
+than one worker (``0`` = all cores) the per-property maximal-resiliency
+searches fan out across a process pool.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import (
     SearchBounds,
 )
 from .core.hardening import harden
-from .engine import SweepExecutor, VerificationEngine
+from .engine import SweepExecutor, VerificationEngine, resolve_jobs
 from .obs.tracer import span as obs_span
 from .sat.limits import Limits, ResourceLimitReached
 from .scada.network import ScadaNetwork
@@ -90,7 +91,7 @@ def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
                   include_attack_cost: bool, backend: str, jobs: int,
                   limits: Optional[Limits],
                   solver_opts: Optional[Dict[str, object]] = None) -> str:
-    engine = VerificationEngine(network, problem, backend=backend, jobs=jobs,
+    engine = VerificationEngine(network, problem, backend=backend,
                                 solver_opts=solver_opts)
     out = io.StringIO()
 
@@ -118,7 +119,7 @@ def _audit_report(network: ScadaNetwork, problem: ObservabilityProblem,
              Property.COMMAND_DELIVERABILITY)
     maxima = {}
     inexact_maxima = False
-    if jobs > 1:
+    if resolve_jobs(jobs) > 1:
         tasks = [_MaximaTask(network, problem, prop, backend, limits)
                  for prop in props]
         triples = SweepExecutor(jobs).map(_maxima_task, tasks)

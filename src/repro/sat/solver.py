@@ -37,9 +37,8 @@ lists never need remapping.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from random import Random
 from time import monotonic
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .hooks import SolverHooks
 from .limits import LimitReason, Limits
@@ -234,35 +233,17 @@ def _luby(i: int) -> int:
 class SatSolver:
     """An incremental CDCL solver over DIMACS-style literals.
 
-    The keyword arguments exist for the portfolio engine's worker
-    diversification and the ``--no-inprocess`` CLI switch; the defaults
-    reproduce the canonical configuration exactly.
+    The defaults are the canonical configuration; the keyword arguments
+    serve the ``--no-inprocess`` CLI switch and tests that force
+    restarts.
 
     :param inprocess: run inter-restart inprocessing (subsumption,
         self-subsuming resolution, bounded vivification).
-    :param seed: when set, perturbs initial variable activities with
-        tiny pseudo-random epsilons so tie-breaks (and hence search
-        trajectories) differ between portfolio workers.
-    :param phase_init: initial saved phase for fresh variables —
-        ``None`` (default: negative first, the historical behaviour),
-        ``True``/``False``, or ``"random"`` (requires *seed* for
-        reproducibility).
     :param restart_base: Luby restart unit in conflicts.
-    :param var_decay: VSIDS decay factor (activities are bumped by a
-        geometrically growing increment ``1/var_decay`` per conflict).
-    :param interrupt_check: optional zero-argument callable polled at
-        the wall-clock cadence; returning ``True`` abandons the solve
-        with :data:`~repro.sat.limits.LimitReason.INTERRUPT`.  This is
-        how portfolio workers observe the cross-process cancel event.
     """
 
     def __init__(self, inprocess: bool = True,
-                 seed: Optional[int] = None,
-                 phase_init: object = None,
-                 restart_base: int = 100,
-                 var_decay: float = 0.95,
-                 interrupt_check: Optional[Callable[[], bool]] = None,
-                 ) -> None:
+                 restart_base: int = 100) -> None:
         self.num_vars = 0
         # Indexed by internal literal: 1 true, 0 false, -1 unassigned.
         self._value: List[int] = [_UNDEF, _UNDEF]
@@ -287,7 +268,7 @@ class SatSolver:
         self._qhead = 0
 
         self._var_inc = 1.0
-        self._var_decay = 1.0 / var_decay
+        self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
         self._order_heap: List[tuple] = []
@@ -310,13 +291,8 @@ class SatSolver:
         self._vivify_prop_budget = 20_000
         self._reduce_calls = 0
 
-        self._seed = seed
-        self._rng = Random(seed if seed is not None else 0)
-        self._phase_init = phase_init
-
         self._ok = True
         self._interrupted = False
-        self.interrupt_check = interrupt_check
         #: Why the last :meth:`solve` returned ``None`` (UNKNOWN);
         #: ``None`` after a decided (sat/unsat) answer.
         self.limit_reason: Optional[LimitReason] = None
@@ -344,23 +320,13 @@ class SatSolver:
         self._value.extend((_UNDEF, _UNDEF))
         self._level.append(0)
         self._reason.append(_NO_REASON)
-        if self._seed is not None:
-            activity = self._rng.random() * 1e-6
-        else:
-            activity = 0.0
-        self._activity.append(activity)
-        if self._phase_init == "random":
-            phase = self._rng.random() < 0.5
-        elif self._phase_init is None:
-            phase = False
-        else:
-            phase = bool(self._phase_init)
-        self._phase.append(phase)
+        self._activity.append(0.0)
+        self._phase.append(False)
         self._seen.append(0)
         self._watches.append([])
         self._watches.append([])
-        heappush(self._order_heap, (-activity, self.num_vars))
-        self._heap_act.append(activity)
+        heappush(self._order_heap, (0.0, self.num_vars))
+        self._heap_act.append(0.0)
         return self.num_vars
 
     def _ensure_vars(self, lits: Iterable[int]) -> None:
@@ -379,13 +345,14 @@ class SatSolver:
         trivially unsatisfiable (an empty clause, possibly after level-0
         simplification); further calls are then no-ops.
         """
-        if not self._ok:
-            return False
         if self._trail_lim:
             raise RuntimeError("add_clause is only legal at decision level 0")
-        self._clauses_added += 1
         if self._proof_originals is not None:
+            # Logged even once unsatisfiable: the log is the formula.
             self._proof_originals.append(list(lits))
+        if not self._ok:
+            return False
+        self._clauses_added += 1
         self._ensure_vars(lits)
 
         seen = set()
@@ -770,21 +737,6 @@ class SatSolver:
         return (len(self._tier_core), len(self._tier_mid),
                 len(self._tier_local))
 
-    def top_active_vars(self, n: int) -> List[int]:
-        """The *n* root-unassigned variables of highest VSIDS activity.
-
-        Used by the portfolio backend to pick cube-and-conquer split
-        variables after a conflict-limited probe: the hottest variables
-        are where the search is actually fighting, so branching the
-        cube on them partitions the hard part of the space.
-        """
-        value = self._value
-        ranked = sorted(
-            (v for v in range(1, self.num_vars + 1)
-             if value[v << 1] == _UNDEF),
-            key=lambda v: -self._activity[v])
-        return ranked[:n]
-
     def _reduce_db(self) -> None:
         """Per-tier retention: *core* (LBD ≤ 2) is never deleted;
         *local* halves by (LBD, activity) every call; *mid* sheds its
@@ -1155,9 +1107,6 @@ class SatSolver:
                 if (memory_budget is not None
                         and self._estimate_memory_mb() > memory_budget):
                     return self._abandon(LimitReason.MEMORY)
-                if (self.interrupt_check is not None
-                        and self.interrupt_check()):
-                    return self._abandon(LimitReason.INTERRUPT)
             conflict = self._propagate()
             if conflict is not None:
                 self.stats.conflicts += 1

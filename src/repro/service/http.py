@@ -128,6 +128,16 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             500: "Internal Server Error"}
 
 
+def _known_backend(backend: Any) -> str:
+    """*backend* when it names a verification backend, else a 400."""
+    if backend not in BACKEND_NAMES:
+        raise ServiceError(
+            400, "bad-request",
+            f"unknown backend {backend!r}; expected one of "
+            f"{', '.join(BACKEND_NAMES)}")
+    return backend
+
+
 class ReproService:
     """The verification daemon: sessions + jobs behind asyncio HTTP."""
 
@@ -407,9 +417,8 @@ class ReproService:
             raise ServiceError(400, "bad-request",
                                "provide 'config' (configuration text)")
         backend = payload.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            raise ServiceError(400, "bad-request",
-                               "'backend' must be a string")
+        if backend is not None:
+            _known_backend(backend)
         lint = bool(payload.get("lint", True))
 
         # Parse + lint + engine construction can take seconds on a big
@@ -481,14 +490,9 @@ class ReproService:
             screen = bool(payload.get("screen", True))
             cold = bool(payload.get("cold", False))
             # The cold lane rebuilds engines in worker processes, so a
-            # job may request a different backend than the session's —
-            # e.g. "portfolio" to race each search probe across a pool.
-            job_backend = payload.get("backend") or session.backend
-            if job_backend not in BACKEND_NAMES:
-                raise ServiceError(
-                    400, "bad-request",
-                    f"unknown backend {job_backend!r}; expected one of "
-                    f"{', '.join(BACKEND_NAMES)}")
+            # job may request a different backend than the session's.
+            job_backend = _known_backend(
+                payload.get("backend") or session.backend)
             if not cold and job_backend != session.backend:
                 raise ServiceError(
                     400, "bad-request",
@@ -641,11 +645,7 @@ class ReproService:
                                            config_text)
             backend = payload.get("backend") or self.sessions.backend
             attached = None
-        if backend not in BACKEND_NAMES:
-            raise ServiceError(
-                400, "bad-request",
-                f"unknown backend {backend!r}; expected one of "
-                f"{', '.join(BACKEND_NAMES)}")
+        _known_backend(backend)
         floors = self._watch_floors(payload, config.spec)
         policy = self.jobs.policy_for(tenant)
         limits = policy.effective_limits(

@@ -1,16 +1,15 @@
-"""Incremental analyzer: verdict parity with the fresh-encoding one."""
+"""Incremental backend: verdict parity with the fresh-encoding analyzer."""
 
 import pytest
 
 from repro.core import (
-    FailureBudget,
     ObservabilityProblem,
     Property,
     ResiliencySpec,
     ScadaAnalyzer,
     Status,
 )
-from repro.core.incremental import IncrementalAnalyzer
+from repro.engine import VerificationEngine
 from repro.grid import ieee14
 from repro.scada import GeneratorConfig, generate_scada
 
@@ -25,47 +24,48 @@ def system():
     return synthetic.network, problem
 
 
+def _incremental(network, problem):
+    return VerificationEngine(network, problem, backend="incremental")
+
+
 def test_verdict_parity_total_budgets(system):
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
+    incremental = _incremental(network, problem)
     for k in range(0, 5):
-        budget = FailureBudget.total(k)
-        a = fresh.verify(ResiliencySpec.observability(k=k),
-                         minimize=False).status
-        b = incremental.verify_budget(budget, minimize=False).status
+        spec = ResiliencySpec.observability(k=k)
+        a = fresh.verify(spec, minimize=False).status
+        b = incremental.verify(spec, minimize=False).status
         assert a == b, k
 
 
 def test_verdict_parity_split_budgets(system):
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
+    incremental = _incremental(network, problem)
     for k1, k2 in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 2)]:
-        budget = FailureBudget.split(k1, k2)
-        a = fresh.verify(ResiliencySpec.observability(k1=k1, k2=k2),
-                         minimize=False).status
-        b = incremental.verify_budget(budget, minimize=False).status
+        spec = ResiliencySpec.observability(k1=k1, k2=k2)
+        a = fresh.verify(spec, minimize=False).status
+        b = incremental.verify(spec, minimize=False).status
         assert a == b, (k1, k2)
 
 
 def test_secured_property(system):
     network, problem = system
-    incremental = IncrementalAnalyzer(
-        network, problem, prop=Property.SECURED_OBSERVABILITY)
+    incremental = _incremental(network, problem)
     fresh = ScadaAnalyzer(network, problem)
     for k in (0, 1, 2):
-        a = fresh.verify(ResiliencySpec.secured_observability(k=k),
-                         minimize=False).status
-        b = incremental.verify_budget(FailureBudget.total(k),
-                                      minimize=False).status
+        spec = ResiliencySpec.for_property(Property.SECURED_OBSERVABILITY,
+                                           k=k)
+        a = fresh.verify(spec, minimize=False).status
+        b = incremental.verify(spec, minimize=False).status
         assert a == b, k
 
 
 def test_threat_vectors_validate(system):
     network, problem = system
-    incremental = IncrementalAnalyzer(network, problem)
-    result = incremental.verify_budget(FailureBudget.total(4))
+    incremental = _incremental(network, problem)
+    result = incremental.verify(ResiliencySpec.observability(k=4))
     if result.status is Status.THREAT_FOUND:
         assert incremental.reference.is_threat(
             result.spec, result.threat.failed_devices)
@@ -75,18 +75,17 @@ def test_threat_vectors_validate(system):
 def test_queries_are_independent(system):
     """A wide budget query must not leak into a later narrow one."""
     network, problem = system
-    incremental = IncrementalAnalyzer(network, problem)
-    wide = incremental.verify_budget(FailureBudget.total(6),
-                                     minimize=False)
-    narrow = incremental.verify_budget(FailureBudget.total(0),
-                                       minimize=False)
+    incremental = _incremental(network, problem)
+    wide_spec = ResiliencySpec.observability(k=6)
+    wide = incremental.verify(wide_spec, minimize=False)
+    narrow = incremental.verify(ResiliencySpec.observability(k=0),
+                                minimize=False)
     fresh = ScadaAnalyzer(network, problem)
     expected = fresh.verify(ResiliencySpec.observability(k=0),
                             minimize=False).status
     assert narrow.status == expected
     # And re-asking the wide one still matches.
-    again = incremental.verify_budget(FailureBudget.total(6),
-                                      minimize=False)
+    again = incremental.verify(wide_spec, minimize=False)
     assert again.status == wide.status
 
 
@@ -94,16 +93,17 @@ def test_max_resiliency_matches_binary_search(system):
     from repro.analysis import max_total_resiliency
     network, problem = system
     fresh = ScadaAnalyzer(network, problem)
-    incremental = IncrementalAnalyzer(network, problem)
-    assert incremental.max_total_resiliency() == \
+    incremental = _incremental(network, problem)
+    # Unscreened: the galloping search runs on the solver alone.
+    assert incremental.max_total_resiliency(screen=False) == \
         max_total_resiliency(fresh)
 
 
 def test_case_study_parity():
     from repro.cases import case_problem, fig3_network
     network, problem = fig3_network(), case_problem()
-    incremental = IncrementalAnalyzer(network, problem)
-    assert incremental.verify_budget(
-        FailureBudget.split(1, 1)).is_resilient
-    result = incremental.verify_budget(FailureBudget.split(2, 1))
+    incremental = _incremental(network, problem)
+    assert incremental.verify(
+        ResiliencySpec.observability(k1=1, k2=1)).is_resilient
+    result = incremental.verify(ResiliencySpec.observability(k1=2, k2=1))
     assert result.status is Status.THREAT_FOUND

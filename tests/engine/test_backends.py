@@ -1,4 +1,4 @@
-"""Backend equivalence: fresh, incremental, and preprocessed must agree.
+"""Backend equivalence: fresh, incremental, and assumption must agree.
 
 The property test generates randomized SCADA instances (the §V-A
 generator over IEEE cases) and random specifications, then checks that

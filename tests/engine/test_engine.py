@@ -73,9 +73,9 @@ def test_wrap_passes_engine_through_and_adapts_analyzer():
     engine = VerificationEngine(network, problem)
     assert VerificationEngine.wrap(engine) is engine
 
-    analyzer = ScadaAnalyzer(network, problem, preprocess=True)
+    analyzer = ScadaAnalyzer(network, problem)
     wrapped = VerificationEngine.wrap(analyzer)
-    assert wrapped.backend_name == "preprocessed"
+    assert wrapped.backend_name == "fresh"
     assert wrapped.reference is analyzer.reference
 
 

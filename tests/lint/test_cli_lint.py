@@ -1,10 +1,12 @@
 """The ``repro lint`` subcommand and the verify-time lint gate."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.core import ResiliencySpec, ScadaAnalyzer
 
 BAD_CONFIG = """\
 [system]
@@ -133,9 +135,40 @@ def test_verify_no_lint_overrides(bad_cfg, capsys):
     assert code in (0, 1)
 
 
-def test_verify_preprocess_matches_plain(good_cfg, capsys):
-    plain = main(["verify", good_cfg, "--k", "1"])
+#: ``repro lint --encoding`` on the 5-bus case and a generated 14-bus
+#: grid: CNF size, frozen-variable count and clause digest of the
+#: default k=1 observability export, and the diagnostic codes.
+ENCODING_PINS = {
+    "fig3": (115, 437, 28, "1179e220ffd4d1d9", ["SCADA009"] * 2),
+    "gen14": (354, 1835, 69, "698290372fd42693", ["SCADA009"] * 15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODING_PINS))
+def test_lint_encoding_output_is_pinned(case, tmp_path, capsys):
+    from repro.scada.config_io import load_config
+
+    num_vars, num_clauses, num_frozen, digest, codes = ENCODING_PINS[case]
+    if case == "fig3":
+        from repro.cases import case_problem, fig3_network
+
+        target, network, problem = "fig3", fig3_network(), case_problem()
+    else:
+        target = str(tmp_path / "gen14.scada")
+        assert main(["generate", "--buses", "14", "--seed", "3",
+                     "--out", target]) == 0
+        config = load_config(target)
+        network, problem = config.network, config.problem
     capsys.readouterr()
-    pre = main(["verify", good_cfg, "--k", "1", "--preprocess"])
-    capsys.readouterr()
-    assert plain == pre
+
+    assert main(["lint", target, "--encoding", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(d["code"] for d in payload["diagnostics"]) == codes
+
+    cnf, frozen = ScadaAnalyzer(network, problem, lint=False).export_cnf(
+        ResiliencySpec.observability(k=1))
+    assert (cnf.num_vars, len(cnf.clauses), len(frozen)) == \
+        (num_vars, num_clauses, num_frozen)
+    assert cnf.tautologies_dropped == 0
+    assert hashlib.sha256(json.dumps(cnf.clauses).encode()).hexdigest()[
+        :16] == digest

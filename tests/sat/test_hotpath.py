@@ -182,16 +182,3 @@ def test_rup_proof_replays_after_inprocessing_pigeonhole():
     assert deletions is not None
     assert all(isinstance(l, int) and l != 0
                for clause in deletions for l in clause)
-
-
-def test_top_active_vars_root_unassigned_only():
-    solver = SatSolver()
-    for clause in ([1, 2], [-1, 3], [4, 5], [-4, 5]):
-        solver.add_clause(clause)
-    solver.add_clause([1])  # root-level unit: var 1 assigned at level 0
-    assert solver.solve() is True
-    top = solver.top_active_vars(10)
-    assert 1 not in top
-    assert all(1 <= v <= solver.num_vars for v in top)
-    assert len(top) == len(set(top))
-    assert solver.top_active_vars(2) == top[:2]

@@ -284,19 +284,42 @@ def test_warm_job_rejects_backend_override(service, fig3_text):
     client = service.client
     session_id = client.open_session(fig3_text)["session"]
     with pytest.raises(ServiceClientError) as err:
-        client.max_resiliency(session=session_id, backend="portfolio",
+        client.max_resiliency(session=session_id, backend="fresh",
                               wait=True)
     assert err.value.status == 400 and err.value.code == "bad-request"
+    assert "cold" in str(err.value)
     with pytest.raises(ServiceClientError) as err:
         client.max_resiliency(config=fig3_text, backend="quantum",
                               wait=True)
     assert err.value.status == 400
 
 
-def test_cold_max_resiliency_accepts_portfolio_backend(service,
-                                                       fig3_text):
+@pytest.mark.parametrize("backend", ["quantum", "portfolio",
+                                     "preprocessed"])
+def test_unknown_backend_is_a_bad_request_on_every_route(
+        service, fig3_text, backend):
     client = service.client
-    bounds = client.max_resiliency(config=fig3_text, backend="portfolio",
+    session_id = client.open_session(fig3_text)["session"]
+    routes = [
+        lambda: client.open_session(fig3_text, backend=backend),
+        lambda: client.verify(config=fig3_text, spec={"k": 1},
+                              backend=backend),
+        lambda: client.max_resiliency(session=session_id, cold=True,
+                                      config=fig3_text, backend=backend),
+        lambda: client.open_watch(config=fig3_text, floors=[{"k": 1}],
+                                  backend=backend),
+    ]
+    for route in routes:
+        with pytest.raises(ServiceClientError) as err:
+            route()
+        assert err.value.status == 400
+        assert err.value.code == "bad-request"
+        assert "fresh, incremental, assumption" in str(err.value)
+
+
+def test_cold_max_resiliency_accepts_backend_override(service, fig3_text):
+    client = service.client
+    bounds = client.max_resiliency(config=fig3_text, backend="fresh",
                                    cold=True, wait=True)
     assert bounds["result"]["exit_code"] == 0
     assert bounds["result"]["total"]["exact"] is True

@@ -167,3 +167,19 @@ def test_unknown_encoding_rejected():
     import pytest as _pytest
     with _pytest.raises(ValueError):
         Solver(card_encoding="bogus")
+
+
+def test_cnf_is_every_asserted_clause():
+    """``Solver.cnf`` reads the proof log, which keeps logging after a
+    level-0 conflict, so it is the whole formula as asserted."""
+    solver = Solver(produce_proof=True)
+    solver.add(a)
+    solver.add(Not(a))  # unsatisfiable from here on
+    solver.add(Or(a, b))
+    cnf = solver.cnf()
+    va, vb = solver.named_variables()["a"], solver.named_variables()["b"]
+    assert cnf.clauses[:2] == [[va], [-va]]
+    assert any(vb in clause for clause in cnf.clauses[2:])
+    assert cnf.num_vars == solver.num_vars
+    with pytest.raises(RuntimeError):
+        Solver().cnf()

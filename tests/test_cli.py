@@ -338,3 +338,54 @@ def test_watch_json_stream_and_trace(tmp_path, capsys):
     assert validate_trace(trace_records) == []
     counters = trace_records[-1]["counters"]
     assert counters.get("stream.events") == 4
+
+
+@pytest.fixture
+def small_config(tmp_path, capsys):
+    path = str(tmp_path / "system.scada")
+    assert main(["generate", "--buses", "14", "--seed", "5",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["max-resiliency", "{cfg}"],
+    ["report", "{cfg}"],
+    ["serve"],
+    ["corpus", "run", "{dir}"],
+])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_bad_jobs_value_is_a_usage_error(command, value, small_config,
+                                         tmp_path, capsys):
+    argv = [part.format(cfg=small_config, dir=str(tmp_path))
+            for part in command] + ["--jobs", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "non-negative integer" in err
+
+
+def test_report_jobs_zero_fans_out(small_config, monkeypatch, capsys):
+    """``--jobs 0`` means all cores, so a multi-core host fans out."""
+    import os
+
+    import repro.report
+
+    pools = []
+
+    class InlineExecutor:
+        def __init__(self, jobs):
+            pools.append(jobs)
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(repro.report, "SweepExecutor", InlineExecutor)
+    assert main(["report", small_config, "--jobs", "0",
+                 "--no-hardening"]) == 0
+    assert pools == [0]
+    assert "Maximal resiliency" in capsys.readouterr().out
